@@ -24,15 +24,35 @@ type traceDoc struct {
 	} `json:"spans"`
 }
 
+// getTrace fetches the /debug/trace spans recorded for traceID. The serving
+// side rings a batch's span only after its reply is written and flushed, so
+// the client can hold the reply before the span lands. getTrace therefore
+// polls, until at least one span appears or traceWait elapses, and returns
+// the last document it read. Each poll first yields for tracePoll: querying
+// at once would compete for the CPU with the goroutine still finishing that
+// reply write, and stretch the very stages the caller measures.
 func getTrace(t *testing.T, metricsAddr string, traceID uint64) traceDoc {
 	t.Helper()
-	body := httpGet(t, "http://"+metricsAddr+"/debug/trace?trace="+obs.FormatTraceID(traceID))
-	var doc traceDoc
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("decoding /debug/trace: %v\n%s", err, body)
+	deadline := time.Now().Add(traceWait)
+	for {
+		time.Sleep(tracePoll)
+		body := httpGet(t, "http://"+metricsAddr+"/debug/trace?trace="+obs.FormatTraceID(traceID))
+		var doc traceDoc
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("decoding /debug/trace: %v\n%s", err, body)
+		}
+		if len(doc.Spans) > 0 || time.Now().After(deadline) {
+			return doc
+		}
 	}
-	return doc
 }
+
+// traceWait bounds getTrace's wait for a span to reach the ring; tracePoll
+// is its polling interval.
+const (
+	traceWait = 2 * time.Second
+	tracePoll = 2 * time.Millisecond
+)
 
 // TestTraceThroughProxy is the fleet-wide tracing acceptance test: one
 // trace id minted at the client must surface three correlated spans — the

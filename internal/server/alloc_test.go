@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/hpca18/bxt/internal/client"
+	"github.com/hpca18/bxt/internal/config"
 	"github.com/hpca18/bxt/internal/core"
 	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/trace"
@@ -15,7 +16,13 @@ import (
 // minus the network, so the per-batch path can be driven directly.
 func newBenchStream(t testing.TB, schemeName string, txnSize int) *stream {
 	t.Helper()
-	srv, err := New(testConfig())
+	return newStreamWith(t, testConfig(), schemeName, txnSize)
+}
+
+// newStreamWith is newBenchStream on a server built from cfg.
+func newStreamWith(t testing.TB, cfg config.Server, schemeName string, txnSize int) *stream {
+	t.Helper()
+	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -37,12 +44,24 @@ func newBenchStream(t testing.TB, schemeName string, txnSize int) *stream {
 
 // TestProcessBatchZeroAlloc is the serving-side zero-allocation regression
 // test: after warm-up, one batch through encode + bus accounting + reply
-// assembly must not allocate, for metadata-free and metadata-carrying
-// schemes alike.
+// assembly must not allocate, for metadata-free, metadata-carrying, and
+// similarity-cached streams alike.
 func TestProcessBatchZeroAlloc(t *testing.T) {
-	for _, schemeName := range []string{"universal", "basexor", "bdenc"} {
-		t.Run(schemeName, func(t *testing.T) {
-			st := newBenchStream(t, schemeName, 32)
+	cached := testConfig()
+	cached.SimCache.Enabled = true
+	cases := []struct {
+		name, scheme string
+		cfg          config.Server
+	}{
+		{"universal", "universal", testConfig()},
+		{"basexor", "basexor", testConfig()},
+		{"bdenc", "bdenc", testConfig()},
+		{"dbi", "dbi", testConfig()},
+		{"cached/universal", "universal", cached},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newStreamWith(t, tc.cfg, tc.scheme, 32)
 			txns := makeTxns(rand.New(rand.NewSource(7)), 64, 32)
 			var id uint64
 			run := func() {
@@ -58,7 +77,8 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 				default:
 				}
 			}
-			// Warm up buffer growth (recBuf, reply body free list).
+			// Warm up buffer growth (recBuf, reply body free list) and,
+			// on the cached stream, the cache entries.
 			for i := 0; i < 8; i++ {
 				run()
 			}

@@ -6,6 +6,10 @@ import (
 	"testing"
 
 	"github.com/hpca18/bxt/internal/bus"
+	"github.com/hpca18/bxt/internal/config"
+	"github.com/hpca18/bxt/internal/core"
+	"github.com/hpca18/bxt/internal/power"
+	"github.com/hpca18/bxt/internal/scheme"
 	"github.com/hpca18/bxt/internal/trace"
 )
 
@@ -21,45 +25,134 @@ func dupTxns(rng *rand.Rand, n, txnSize int) []trace.Transaction {
 	return txns
 }
 
+// seqReference rebuilds from scratch what the gateway must reply for one
+// stream: a fresh codec encoding each transaction in arrival order, one
+// Transfer per transaction on fresh baseline and encoded buses, the power
+// model's estimate of each batch's deltas, and the v4 reply framing.
+type seqReference struct {
+	codec           core.Codec
+	baseBus, encBus *bus.Bus
+	model           *power.Model
+	enc             core.Encoded
+}
+
+func newSeqReference(t *testing.T, st *stream) *seqReference {
+	t.Helper()
+	codec, err := scheme.Build(st.schemeName, st.ss.srv.cfg.SchemeOptions())
+	if err != nil {
+		t.Fatalf("Build(%s): %v", st.schemeName, err)
+	}
+	width := st.ss.srv.cfg.ChannelWidthBits
+	return &seqReference{codec: codec, baseBus: bus.New(width), encBus: bus.New(width), model: power.NewModel()}
+}
+
+// reply returns the reference BatchReply body for batch id on stream sid.
+func (r *seqReference) reply(t *testing.T, sid uint32, id uint64, txns []trace.Transaction) []byte {
+	t.Helper()
+	prevBase, prevEnc := r.baseBus.Stats(), r.encBus.Stats()
+	var recs []byte
+	for i := range txns {
+		if err := r.codec.Encode(&r.enc, txns[i].Data); err != nil {
+			t.Fatalf("reference Encode: %v", err)
+		}
+		raw := core.Encoded{Data: txns[i].Data}
+		if err := r.baseBus.Transfer(&raw); err != nil {
+			t.Fatalf("reference raw Transfer: %v", err)
+		}
+		if err := r.encBus.Transfer(&r.enc); err != nil {
+			t.Fatalf("reference encoded Transfer: %v", err)
+		}
+		recs = append(recs, r.enc.Data...)
+		recs = append(recs, r.enc.Meta...)
+	}
+	base, enc := r.baseBus.Stats().Sub(prevBase), r.encBus.Stats().Sub(prevEnc)
+	body := trace.AppendStreamID(nil, sid)
+	body = trace.AppendTraceEnvelope(body, id, 0)
+	body = trace.AppendBatchStats(body, trace.BatchStats{
+		Transactions:  uint32(len(txns)),
+		DataBits:      uint64(base.DataBits),
+		OnesBefore:    uint64(base.Ones()),
+		OnesAfter:     uint64(enc.Ones()),
+		TogglesBefore: uint64(base.Toggles()),
+		TogglesAfter:  uint64(enc.Toggles()),
+		BaselinePJ:    r.model.Estimate(base).Total() * 1e12,
+		EncodedPJ:     r.model.Estimate(enc).Total() * 1e12,
+	})
+	body = append(body, recs...)
+	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 // TestBatchPathMatchesSequential is the serving-side differential for the
-// batch mega-kernel: the batch encode path (gather, EncodeBatch, fused
-// TransferBatch accounting) must produce byte-identical replies and
-// bit-identical bus statistics to the per-transaction path it replaced,
-// across schemes, batch sizes straddling the blocking factor, and
-// duplicate-heavy streams.
+// batch encode path: gather, cache pre-pass, EncodeBatch, and block
+// accounting must produce byte-identical replies and bit-identical bus
+// statistics to an independent per-transaction reference, for metadata-free,
+// metadata-bearing, and similarity-cached streams, across batch sizes
+// straddling the blocking factor, duplicate-heavy streams, and Zipf
+// hot-key traffic with exact and near repeats.
 func TestBatchPathMatchesSequential(t *testing.T) {
-	for _, schemeName := range []string{"universal", "basexor", "2b", "8b", "silent"} {
-		t.Run(schemeName, func(t *testing.T) {
-			batch := newBenchStream(t, schemeName, 32)
-			seq := newBenchStream(t, schemeName, 32)
-			seq.batch = nil // force the per-transaction path
-			if batch.batch == nil {
-				t.Fatal("metadata-free session did not get a batch encoder")
+	cached := testConfig()
+	cached.SimCache.Enabled = true
+	cases := []struct {
+		name, scheme string
+		cfg          config.Server
+	}{
+		{"universal", "universal", testConfig()},
+		{"basexor", "basexor", testConfig()},
+		{"2b", "2b", testConfig()},
+		{"8b", "8b", testConfig()},
+		{"silent", "silent", testConfig()},
+		{"bdenc", "bdenc", testConfig()},
+		{"dbi", "dbi", testConfig()},
+		{"fve", "fve", testConfig()},
+		{"universal+dbi1", "universal+dbi1", testConfig()},
+		{"cached/universal", "universal", cached},
+		{"cached/4b", "4b", cached},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newStreamWith(t, tc.cfg, tc.scheme, 32)
+			if st.batch == nil {
+				t.Fatal("stream did not get a batch encoder")
 			}
+			if tc.cfg.SimCache.Enabled && st.cache == nil {
+				t.Fatal("cache-enabled stream did not get a similarity cache")
+			}
+			ref := newSeqReference(t, st)
 			rng := rand.New(rand.NewSource(23))
 			var id uint64
-			for _, n := range []int{1, 7, batchBlockTxns, batchBlockTxns + 1, 200} {
-				id++
-				txns := dupTxns(rng, n, 32)
-				rb, err := batch.processBatch(id, txns)
-				if err != nil {
-					t.Fatalf("batch processBatch(%d txns): %v", n, err)
+			for round, n := range []int{1, 7, batchBlockTxns, batchBlockTxns + 1, 200} {
+				for _, txns := range [][]trace.Transaction{
+					dupTxns(rng, n, 32),
+					makeHotTxns(int64(round), n, 32, 4),
+				} {
+					id++
+					got, err := st.processBatch(id, txns)
+					if err != nil {
+						t.Fatalf("processBatch(%d txns): %v", n, err)
+					}
+					if want := ref.reply(t, st.sid, id, txns); !bytes.Equal(got, want) {
+						t.Fatalf("batch %d (%d txns): reply diverges from the sequential reference", id, n)
+					}
+					if got, want := st.baseBus.Stats(), ref.baseBus.Stats(); got != want {
+						t.Fatalf("batch %d (%d txns): raw-side bus stats diverge\ngot  %+v\nwant %+v", id, n, got, want)
+					}
+					if got, want := st.encBus.Stats(), ref.encBus.Stats(); got != want {
+						t.Fatalf("batch %d (%d txns): encoded-side bus stats diverge\ngot  %+v\nwant %+v", id, n, got, want)
+					}
+					st.ss.replyFree <- got
 				}
-				rs, err := seq.processBatch(id, txns)
-				if err != nil {
-					t.Fatalf("sequential processBatch(%d txns): %v", n, err)
+			}
+			if st.cache != nil {
+				cs := st.cache.Stats()
+				if cs.Hits == 0 {
+					t.Error("cached stream saw no exact hits")
 				}
-				if !bytes.Equal(rb, rs) {
-					t.Fatalf("%d txns: batch reply diverges from sequential", n)
+				if st.patcher != nil && cs.NearHits == 0 {
+					t.Error("patching cached stream saw no near hits")
 				}
-				if bs, ss := batch.baseBus.Stats(), seq.baseBus.Stats(); bs != ss {
-					t.Fatalf("%d txns: raw-side bus stats diverge\nbatch      %+v\nsequential %+v", n, bs, ss)
-				}
-				if bs, ss := batch.encBus.Stats(), seq.encBus.Stats(); bs != ss {
-					t.Fatalf("%d txns: encoded-side bus stats diverge\nbatch      %+v\nsequential %+v", n, bs, ss)
-				}
-				batch.ss.replyFree <- rb
-				seq.ss.replyFree <- rs
 			}
 		})
 	}

@@ -15,8 +15,8 @@ import (
 // (ones over every byte, toggles from the second beat on), so they feed
 // straight into Bus.TransferBatchCounted. Callers must ensure len(dst) ==
 // len(txns)*txnSize, every Data is txnSize bytes, txnSize is a multiple of
-// 8, and beatBytes is 4 or 8; encodeAllBatch falls back to a plain gather
-// plus TransferBatch for other geometries.
+// 8, and beatBytes is 4 or 8; encodeAll falls back to a plain gather plus
+// TransferBatch for other geometries.
 func gatherCounted(dst []byte, txns []trace.Transaction, txnSize, beatBytes int) (ones, toggles int) {
 	if len(txns) == 0 {
 		return 0, 0

@@ -40,8 +40,8 @@ func makeHotTxns(seed int64, n, txnSize, flipBits int) []trace.Transaction {
 // streamRecords runs one session over txns and returns every reply record
 // (data plus side-band) concatenated in arrival order, with each batch's
 // wire-accounting stats rendered in between — so comparing two streams
-// byte-for-byte also proves the summary-memoized accounting path reproduces
-// the full Transfer walk exactly.
+// byte-for-byte also proves cache-served records are charged exactly like
+// freshly encoded ones.
 func streamRecords(t *testing.T, addr, schemeName string, txns []trace.Transaction, txnSize int) []byte {
 	t.Helper()
 	c, err := client.Dial(addr, schemeName, txnSize)

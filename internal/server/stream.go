@@ -47,14 +47,11 @@ type stream struct {
 	// cache, when non-nil, is the similarity tier for this stream's
 	// (scheme, txnSize): repeated transactions are served from it without
 	// re-running the codec. patcher re-encodes near-duplicates by patching
-	// the cached reference record; it is nil when the codec cannot patch
-	// or when records carry side-band metadata a patch cannot reproduce,
+	// the cached reference record; it is nil when the codec cannot patch,
 	// and lookups then skip the band scan entirely (LookupExact).
-	cache    *simcache.Cache
-	patcher  core.PatchEncoder
-	probe    *simcache.Probe
-	patchBuf []byte
-	cacheH   *obs.Histogram
+	cache   *simcache.Cache
+	patcher core.PatchEncoder
+	cacheH  *obs.Histogram
 	// lookupTick strides the lookup timer: two clock reads per transaction
 	// cost about as much as a hit itself, so one lookup in
 	// lookupSampleStride is timed and scaled up for the stage histogram.
@@ -70,8 +67,8 @@ type stream struct {
 	// timings and wire counters. Both are touched only by the read
 	// goroutine until the span is handed to writeLoop inside the
 	// outFrame. lookupDur is the (sampled, scaled) similarity-cache
-	// lookup time of the current batch, captured by encodeAllCached for
-	// the span.
+	// lookup time of the current batch, captured by encodeAll for the
+	// span.
 	traceID   uint64
 	span      obs.Span
 	lookupDur time.Duration
@@ -84,22 +81,23 @@ type stream struct {
 	// encoded transfers; their divergence is the value the gateway reports.
 	baseBus, encBus   *bus.Bus
 	prevBase, prevEnc bus.Stats
-	enc               core.Encoded
 	txns              []trace.Transaction
 	recBuf            []byte
 
-	// batch, when non-nil, is the codec's batch-granular entry point
-	// (metadata-free streams only): encodeAllBatch gathers each block of
-	// transactions into srcBuf, encodes it into recBuf windows with one
-	// EncodeBatch call, and charges both buses with fused TransferBatch
-	// walks while the block is still L1-resident. batchEnc holds the
-	// per-block dst windows; bprobes, missIdx and missBuf serve the cached
-	// variant, which defers a block's misses and batches them back through
-	// the mega-kernel.
+	// batch is the codec's batch-granular entry point, and every stream
+	// encodes through it: codecs without a native BatchEncoder (metadata
+	// codecs, and chaos-wrapped ones, whose faults must keep firing per
+	// transaction) run behind scheme.BatchEncoder's sequential adapter.
+	// encodeAll gathers each block of transactions into srcBuf and encodes
+	// the block's misses into their recBuf records with one EncodeBatch
+	// call; batchEnc holds those record windows. On cached streams probes
+	// carry each block transaction's lookup through to its Insert, and
+	// missIdx/missBuf queue the misses; without a cache the whole block
+	// misses and srcBuf is the codec's source.
 	batch    core.BatchEncoder
 	srcBuf   []byte
 	batchEnc []core.Encoded
-	bprobes  []simcache.Probe
+	probes   []simcache.Probe
 	missIdx  []int
 	missBuf  []byte
 }
@@ -156,13 +154,7 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 		encBus:     bus.New(ss.srv.cfg.ChannelWidthBits),
 	}
 	st.metaBytes = (st.metaBits + 7) / 8
-	// Metadata-free streams run the batch-granular fast path; codecs
-	// without native BatchEncoder support (including chaos-wrapped ones,
-	// whose faults must keep firing per transaction) fall back to a
-	// sequential loop behind the same call.
-	if st.metaBits == 0 {
-		st.batch = scheme.BatchEncoder(codec)
-	}
+	st.batch = scheme.BatchEncoder(codec)
 
 	stages := ss.srv.met.stages
 	st.readH = stages.Hist(name, obs.StageFrameRead)
@@ -171,14 +163,10 @@ func (ss *session) openStream(sid uint32, schemeName string, txnSize int) (*stre
 	st.accH = stages.Hist(name, obs.StageAccount)
 	st.writeH = stages.Hist(name, obs.StageFrameWrite)
 	st.energy = ss.srv.met.energy.Counter(name)
-	if cache := ss.srv.simCacheFor(name, txnSize, st.metaBits); cache != nil {
+	if cache := ss.srv.simCacheFor(name, txnSize); cache != nil {
 		st.cache = cache
-		st.probe = &simcache.Probe{}
+		st.patcher = patcher
 		st.cacheH = stages.Hist(name, obs.StageSimcacheLookup)
-		if patcher != nil && st.metaBits == 0 {
-			st.patcher = patcher
-			st.patchBuf = make([]byte, txnSize)
-		}
 	}
 	st.log = ss.srv.log.With("session", ss.id, "stream", sid, "scheme", name)
 	return st, nil
@@ -320,7 +308,8 @@ func (st *stream) quarantine(id uint64, txns int, payload []byte, err error) {
 // processBatch encodes one batch with the stream codec, drives the
 // baseline and encoded transfers over the stream's bus models, and builds
 // the BatchReply frame body. The two passes are timed separately: pass one
-// is the codec_encode stage, pass two (bus transfers + power estimate) the
+// (encodeAll: lookups, encode, and bus transfers) is the codec_encode
+// stage, pass two (the bus statistics delta and power estimate) the
 // phy_account stage. Any error return leaves the stream serviceable:
 // recoverBatch has reset the codec and discarded the partial batch's bus
 // deltas (the caller relays the reset to v2 clients).
@@ -330,7 +319,6 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 		hook()
 	}
 	encStart := time.Now()
-	st.recBuf = st.recBuf[:0]
 	if err := st.encodeAll(txns); err != nil {
 		st.recoverBatch()
 		return nil, err
@@ -344,36 +332,6 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 		st.span.Observe(obs.StageSimcacheLookup, st.lookupDur)
 	}
 	st.span.Observe(obs.StageEncode, encDur)
-
-	// Accounting replays the records just built (the encoded payload is
-	// txnSize bytes plus metaBytes of side-band per record, the same fixed
-	// geometry the client parses). Similarity-cache streams have already
-	// charged the buses during the encode pass — cache entries memoize
-	// their bus summaries, so the hit path splices them in with bus.Apply
-	// instead of re-walking every beat — and batch streams have too, via
-	// the fused TransferBatch walk over each cache-hot block; both leave
-	// only the geometry check here.
-	recLen := st.txnSize + st.metaBytes
-	if len(st.recBuf) != len(txns)*recLen {
-		st.recoverBatch()
-		return nil, fmt.Errorf("scheme %s: produced %d record bytes for %d transactions, want %d",
-			st.schemeName, len(st.recBuf), len(txns), len(txns)*recLen)
-	}
-	if st.cache == nil && st.batch == nil {
-		for i := range txns {
-			raw := core.Encoded{Data: txns[i].Data}
-			if err := st.baseBus.Transfer(&raw); err != nil {
-				st.recoverBatch()
-				return nil, err
-			}
-			rec := st.recBuf[i*recLen : (i+1)*recLen]
-			enc := core.Encoded{Data: rec[:st.txnSize], Meta: rec[st.txnSize:], MetaBits: st.metaBits}
-			if err := st.encBus.Transfer(&enc); err != nil {
-				st.recoverBatch()
-				return nil, err
-			}
-		}
-	}
 
 	baseNow, encNow := st.baseBus.Stats(), st.encBus.Stats()
 	baseDelta := baseNow.Sub(st.prevBase)
@@ -453,250 +411,111 @@ func (st *stream) processBatch(id uint64, txns []trace.Transaction) ([]byte, err
 	return body, nil
 }
 
-// encodeAll runs the codec over every transaction, converting a codec
-// panic into errCodecPanic so one poisonous batch cannot take down the
-// process (or even the stream).
+// batchBlockTxns is the cache-blocking factor of the encode path: the
+// gathered source block and its record windows (64 × 32 B = 2 KiB each for
+// the paper's workload) both stay L1-resident from the encode walk through
+// the accounting walk, while still amortizing per-call overheads.
+const batchBlockTxns = 64
+
+// encodeAll is the stream's one encode path, run block by block. BXTP
+// frames stride each transaction's data behind its record header, so each
+// block is first gathered into the contiguous srcBuf the mega-kernel wants.
+// A cached stream then serves exact and patched near hits straight into
+// their records and leaves only the misses for the codec; without a cache
+// the whole block misses. One EncodeBatch call writes the misses in place
+// into their recBuf records, data and side-band alike, so the reply
+// payload needs no per-record copies. Each record is settled and cached,
+// and the block is charged to both buses in arrival order while still
+// L1-resident. A codec panic becomes errCodecPanic, so one poisonous batch
+// cannot take down the process (or even the stream).
 func (st *stream) encodeAll(txns []trace.Transaction) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", errCodecPanic, r)
 		}
 	}()
-	if st.cache != nil {
-		if st.batch != nil {
-			return st.encodeAllCachedBatch(txns)
-		}
-		return st.encodeAllCached(txns)
-	}
-	if st.batch != nil {
-		return st.encodeAllBatch(txns)
-	}
-	for i := range txns {
-		t := &txns[i]
-		if e := st.codec.Encode(&st.enc, t.Data); e != nil {
-			return fmt.Errorf("scheme %s: encoding transaction %#x: %v", st.schemeName, t.Addr, e)
-		}
-		st.recBuf = append(st.recBuf, st.enc.Data...)
-		st.recBuf = append(st.recBuf, st.enc.Meta...)
-	}
-	return nil
-}
-
-// batchBlockTxns is the cache-blocking factor of the batch encode path: the
-// gathered source block and its record windows (64 × 32 B = 2 KiB each for
-// the paper's workload) both stay L1-resident from the encode walk through
-// the fused accounting walk, while still amortizing per-call overheads.
-const batchBlockTxns = 64
-
-// encodeAllBatch is the batch-granular encode path for metadata-free
-// streams without a similarity cache. BXTP frames stride each
-// transaction's data behind its record header, so each block is first
-// gathered into the contiguous srcBuf the mega-kernel wants; the dst
-// records are pre-pointed at adjacent recBuf windows, so the kernels write
-// the reply payload in place and the whole batch needs no per-record
-// copies. Wire accounting is fused into the same walk: each block charges
-// both buses through TransferBatch right after its encode, one boundary
-// splice plus streaming popcount passes instead of the per-beat Transfer
-// state machine that previously dominated the pipeline.
-func (st *stream) encodeAllBatch(txns []trace.Transaction) error {
-	n := len(txns)
-	recLen := st.txnSize // batch streams are metadata-free
+	n, recLen := len(txns), st.txnSize+st.metaBytes
 	if need := n * recLen; cap(st.recBuf) < need {
 		st.recBuf = make([]byte, need)
 	} else {
-		st.recBuf = st.recBuf[:n*recLen]
+		st.recBuf = st.recBuf[:need]
 	}
-	if cap(st.batchEnc) < batchBlockTxns {
+	if st.batchEnc == nil {
 		st.batchEnc = make([]core.Encoded, batchBlockTxns)
+		st.srcBuf = make([]byte, batchBlockTxns*st.txnSize)
+		if st.cache != nil {
+			st.probes = make([]simcache.Probe, batchBlockTxns)
+		}
 	}
+	// gatherCounted folds the raw-side ones and toggles into the gather
+	// when the geometry allows it, sparing the raw bus its own walk.
 	bb := st.baseBus.BeatBytes()
-	fused := st.txnSize%8 == 0 && (bb == 4 || bb == 8)
-	for start := 0; start < n; start += batchBlockTxns {
-		end := start + batchBlockTxns
-		if end > n {
-			end = n
-		}
-		bn := end - start
-		var rawOnes, rawToggles int
-		if fused {
-			blockBytes := bn * st.txnSize
-			if cap(st.srcBuf) < blockBytes {
-				st.srcBuf = make([]byte, blockBytes)
-			}
-			st.srcBuf = st.srcBuf[:blockBytes]
-			rawOnes, rawToggles = gatherCounted(st.srcBuf, txns[start:end], st.txnSize, bb)
-		} else {
-			st.srcBuf = st.srcBuf[:0]
-			for i := start; i < end; i++ {
-				st.srcBuf = append(st.srcBuf, txns[i].Data...)
-			}
-		}
-		dst := st.batchEnc[:bn]
-		for i := range dst {
-			off := (start + i) * recLen
-			dst[i].Data = st.recBuf[off : off+recLen : off+recLen]
-			dst[i].Meta = dst[i].Meta[:0]
-			dst[i].MetaBits = 0
-		}
-		if err := st.batch.EncodeBatch(dst, st.srcBuf, bn, st.txnSize); err != nil {
-			return fmt.Errorf("scheme %s: encoding batch: %v", st.schemeName, err)
-		}
-		for i := range dst {
-			if err := st.settleBatchRecord(&dst[i], start+i, recLen); err != nil {
-				return err
-			}
-		}
-		if fused {
-			if err := st.baseBus.TransferBatchCounted(st.srcBuf, st.txnSize, rawOnes, rawToggles); err != nil {
-				return err
-			}
-		} else {
-			if err := st.baseBus.TransferBatch(st.srcBuf, st.txnSize); err != nil {
-				return err
-			}
-		}
-		if err := st.encBus.TransferBatch(st.recBuf[start*recLen:end*recLen], st.txnSize); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// settleBatchRecord verifies the codec encoded record idx in place into its
-// recBuf window, copying back records a misbehaving (or fault-injected)
-// codec regrew elsewhere and rejecting ones with the wrong geometry.
-func (st *stream) settleBatchRecord(d *core.Encoded, idx, recLen int) error {
-	slot := st.recBuf[idx*recLen : (idx+1)*recLen]
-	if len(d.Data) != recLen || d.MetaBits != 0 {
-		return fmt.Errorf("scheme %s: batch record %d has %d data bytes and %d meta bits, want %d and 0",
-			st.schemeName, idx, len(d.Data), d.MetaBits, recLen)
-	}
-	if &d.Data[0] != &slot[0] {
-		copy(slot, d.Data)
-	}
-	return nil
-}
-
-// encodeAllCachedBatch fuses the similarity cache with the batch path: each
-// block's transactions are looked up first — hits and patched near-hits
-// land their records straight into recBuf — and the misses are batched back
-// through the mega-kernel in one EncodeBatch call, then inserted. Bus
-// accounting must follow arrival order (toggles depend on the beat
-// sequence), so it runs as a final in-order pass over the block's memoized
-// summaries; per-block probes keep each record's summary pair alive until
-// then.
-func (st *stream) encodeAllCachedBatch(txns []trace.Transaction) error {
-	n := len(txns)
-	recLen := st.txnSize // cached streams with a batch path are metadata-free
-	if need := n * recLen; cap(st.recBuf) < need {
-		st.recBuf = make([]byte, need)
-	} else {
-		st.recBuf = st.recBuf[:n*recLen]
-	}
-	if cap(st.batchEnc) < batchBlockTxns {
-		st.batchEnc = make([]core.Encoded, batchBlockTxns)
-	}
-	if len(st.bprobes) < batchBlockTxns {
-		st.bprobes = make([]simcache.Probe, batchBlockTxns)
-	}
+	counted := st.txnSize%8 == 0 && (bb == 4 || bb == 8)
 	var lookups time.Duration
 	for start := 0; start < n; start += batchBlockTxns {
-		end := start + batchBlockTxns
-		if end > n {
-			end = n
+		block := txns[start:min(start+batchBlockTxns, n)]
+		src := st.srcBuf[:len(block)*st.txnSize]
+		recs := st.recBuf[start*recLen : (start+len(block))*recLen]
+		var rawOnes, rawToggles int
+		if counted {
+			rawOnes, rawToggles = gatherCounted(src, block, st.txnSize, bb)
+		} else {
+			for i := range block {
+				copy(src[i*st.txnSize:], block[i].Data)
+			}
 		}
-		bn := end - start
 		st.missIdx = st.missIdx[:0]
-		st.missBuf = st.missBuf[:0]
-		for i := 0; i < bn; i++ {
-			t := &txns[start+i]
-			p := &st.bprobes[i]
-			var lookupStart time.Time
-			sampled := st.lookupTick%lookupSampleStride == 0
-			st.lookupTick++
-			if sampled {
-				lookupStart = time.Now()
-			}
-			var res simcache.Result
-			if st.patcher != nil {
-				res = st.cache.Lookup(p, t.Data)
-			} else {
-				res = st.cache.LookupExact(p, t.Data)
-			}
-			if sampled {
-				lookups += time.Since(lookupStart) * lookupSampleStride
-			}
-			slot := st.recBuf[(start+i)*recLen : (start+i+1)*recLen]
-			switch {
-			case res == simcache.HitExact:
-				copy(slot, p.Data)
-			case res == simcache.HitNear && st.patcher.PatchEncode(st.patchBuf, t.Data, p.Ref, p.RefEnc):
-				copy(slot, st.patchBuf)
-				st.cache.Insert(p, t.Data, slot, nil)
-			default:
+		missSrc := src
+		if st.cache != nil {
+			lookups += st.lookupBlock(block, recs)
+			missSrc = st.missBuf
+		} else {
+			for i := range block {
 				st.missIdx = append(st.missIdx, i)
-				st.missBuf = append(st.missBuf, t.Data...)
 			}
 		}
 		if len(st.missIdx) > 0 {
 			dst := st.batchEnc[:len(st.missIdx)]
 			for k, i := range st.missIdx {
-				off := (start + i) * recLen
-				dst[k].Data = st.recBuf[off : off+recLen : off+recLen]
-				dst[k].Meta = dst[k].Meta[:0]
-				dst[k].MetaBits = 0
+				rec := recs[i*recLen : (i+1)*recLen : (i+1)*recLen]
+				dst[k] = core.Encoded{Data: rec[:st.txnSize:st.txnSize], Meta: rec[st.txnSize:]}
 			}
-			if err := st.batch.EncodeBatch(dst, st.missBuf, len(st.missIdx), st.txnSize); err != nil {
+			if err := st.batch.EncodeBatch(dst, missSrc, len(dst), st.txnSize); err != nil {
 				return fmt.Errorf("scheme %s: encoding batch: %v", st.schemeName, err)
 			}
 			for k, i := range st.missIdx {
-				if err := st.settleBatchRecord(&dst[k], start+i, recLen); err != nil {
+				rec := recs[i*recLen : (i+1)*recLen]
+				if err := st.settle(&dst[k], rec, start+i); err != nil {
 					return err
 				}
-				off := (start + i) * recLen
-				st.cache.Insert(&st.bprobes[i], txns[start+i].Data, st.recBuf[off:off+recLen], nil)
+				if st.cache != nil {
+					st.cache.Insert(&st.probes[i], block[i].Data, rec[:st.txnSize], rec[st.txnSize:])
+				}
 			}
 		}
-		for i := 0; i < bn; i++ {
-			p := &st.bprobes[i]
-			if p.HasSums {
-				if err := st.baseBus.Apply(&p.RawSum); err != nil {
-					return err
-				}
-				if err := st.encBus.Apply(&p.EncSum); err != nil {
-					return err
-				}
-				continue
-			}
-			off := (start + i) * recLen
-			if err := st.accountRaw(txns[start+i].Data, st.recBuf[off:off+recLen]); err != nil {
-				return err
-			}
+		if err := st.account(src, recs, counted, rawOnes, rawToggles); err != nil {
+			return err
 		}
 	}
-	st.lookupDur = lookups
-	st.cacheH.ObserveEx(lookups.Seconds(), st.traceID)
+	if st.cache != nil {
+		st.lookupDur = lookups
+		st.cacheH.ObserveEx(lookups.Seconds(), st.traceID)
+	}
 	return nil
 }
 
-// encodeAllCached is the similarity-cache encode path. Exact hits append
-// the cached record verbatim; near hits re-encode by patching the cached
-// reference (only the few changed elements run through the codec datapath);
-// misses — and pairs the codec refuses to patch — fall back to a full
-// encode and populate the cache for the next repeat. The summed (sampled,
-// see lookupSampleStride) lookup time feeds the simcache_lookup stage once
-// per batch.
-//
-// Wire accounting is fused into the same pass: a hit carries the record's
-// memoized bus summaries out of the cache and an Insert leaves the freshly
-// computed pair in the probe, so either way the buses are charged with an
-// O(1-beat) splice instead of the full per-beat walk processBatch would
-// otherwise run. recoverBatch discards any partially applied deltas if the
-// batch fails midway, exactly as for partial Transfer loops.
-func (st *stream) encodeAllCached(txns []trace.Transaction) error {
-	var lookups time.Duration
-	for i := range txns {
-		t := &txns[i]
+// lookupBlock is the similarity-cache pre-pass over one block: exact hits
+// copy the cached record and near hits patch the cached reference (only
+// the few changed elements run through the codec datapath), both straight
+// into their records in recs. Misses — and pairs the codec refuses to
+// patch — are queued in missIdx and missBuf for the block's EncodeBatch
+// call. It returns the block's (sampled, see lookupSampleStride) lookup
+// time.
+func (st *stream) lookupBlock(block []trace.Transaction, recs []byte) (lookups time.Duration) {
+	recLen := st.txnSize + st.metaBytes
+	st.missBuf = st.missBuf[:0]
+	for i := range block {
+		data, p := block[i].Data, &st.probes[i]
 		var lookupStart time.Time
 		sampled := st.lookupTick%lookupSampleStride == 0
 		st.lookupTick++
@@ -705,65 +524,71 @@ func (st *stream) encodeAllCached(txns []trace.Transaction) error {
 		}
 		var res simcache.Result
 		if st.patcher != nil {
-			res = st.cache.Lookup(st.probe, t.Data)
+			res = st.cache.Lookup(p, data)
 		} else {
-			res = st.cache.LookupExact(st.probe, t.Data)
+			res = st.cache.LookupExact(p, data)
 		}
 		if sampled {
 			lookups += time.Since(lookupStart) * lookupSampleStride
 		}
-		recStart := len(st.recBuf)
+		rec := recs[i*recLen : (i+1)*recLen]
 		switch {
 		case res == simcache.HitExact:
-			st.recBuf = append(st.recBuf, st.probe.Data...)
-			st.recBuf = append(st.recBuf, st.probe.Meta...)
-		case res == simcache.HitNear && st.patcher.PatchEncode(st.patchBuf, t.Data, st.probe.Ref, st.probe.RefEnc):
-			st.recBuf = append(st.recBuf, st.patchBuf...)
-			st.cache.Insert(st.probe, t.Data, st.patchBuf, nil)
+			copy(rec, p.Data)
+			copy(rec[st.txnSize:], p.Meta)
+		case res == simcache.HitNear && st.patcher.PatchEncode(rec[:st.txnSize], data, p.Ref, p.RefEnc):
+			st.cache.Insert(p, data, rec[:st.txnSize], nil)
 		default:
-			if e := st.codec.Encode(&st.enc, t.Data); e != nil {
-				return fmt.Errorf("scheme %s: encoding transaction %#x: %v", st.schemeName, t.Addr, e)
-			}
-			st.recBuf = append(st.recBuf, st.enc.Data...)
-			st.recBuf = append(st.recBuf, st.enc.Meta...)
-			st.cache.Insert(st.probe, t.Data, st.enc.Data, st.enc.Meta)
-		}
-		if err := st.accountCached(t.Data, st.recBuf[recStart:]); err != nil {
-			return err
+			st.missIdx = append(st.missIdx, i)
+			st.missBuf = append(st.missBuf, data...)
 		}
 	}
-	st.lookupDur = lookups
-	st.cacheH.ObserveEx(lookups.Seconds(), st.traceID)
+	return lookups
+}
+
+// settle verifies the codec encoded batch record idx with the stream's
+// geometry, copying it back into its recBuf window rec when a misbehaving
+// (or fault-injected) codec regrew it elsewhere.
+func (st *stream) settle(d *core.Encoded, rec []byte, idx int) error {
+	if len(d.Data) != st.txnSize || d.MetaBits != st.metaBits || len(d.Meta) != st.metaBytes {
+		return fmt.Errorf("scheme %s: batch record %d has %d data bytes and %d meta bits, want %d and %d",
+			st.schemeName, idx, len(d.Data), d.MetaBits, st.txnSize, st.metaBits)
+	}
+	if &d.Data[0] != &rec[0] {
+		copy(rec, d.Data)
+	}
+	if st.metaBytes > 0 && &d.Meta[0] != &rec[st.txnSize] {
+		copy(rec[st.txnSize:], d.Meta)
+	}
 	return nil
 }
 
-// accountCached charges one just-built record to the stream's buses: via
-// the probe's memoized summaries when the cache provided them, else by
-// replaying the raw transaction and record through the full Transfer walk.
-func (st *stream) accountCached(raw, rec []byte) error {
-	if st.probe.HasSums {
-		if err := st.baseBus.Apply(&st.probe.RawSum); err != nil {
-			return err
-		}
-		return st.encBus.Apply(&st.probe.EncSum)
+// account charges one block to both buses in arrival order (toggles depend
+// on the beat sequence). The raw side is one TransferBatch walk over the
+// gathered source, or none when gatherCounted already counted it. The
+// encoded side is one fused TransferBatch walk over the block's records on
+// metadata-free streams; side-band wires need the per-record Transfer.
+func (st *stream) account(src, recs []byte, counted bool, rawOnes, rawToggles int) error {
+	var err error
+	if counted {
+		err = st.baseBus.TransferBatchCounted(src, st.txnSize, rawOnes, rawToggles)
+	} else {
+		err = st.baseBus.TransferBatch(src, st.txnSize)
 	}
-	if len(rec) != st.txnSize+st.metaBytes {
-		return fmt.Errorf("scheme %s: produced a %d-byte record, want %d",
-			st.schemeName, len(rec), st.txnSize+st.metaBytes)
-	}
-	return st.accountRaw(raw, rec)
-}
-
-// accountRaw charges one raw transaction and its record to the stream's
-// buses through the full per-beat walk — the fallback when no memoized
-// summaries are available.
-func (st *stream) accountRaw(raw, rec []byte) error {
-	base := core.Encoded{Data: raw}
-	if err := st.baseBus.Transfer(&base); err != nil {
+	if err != nil {
 		return err
 	}
-	enc := core.Encoded{Data: rec[:st.txnSize], Meta: rec[st.txnSize:], MetaBits: st.metaBits}
-	return st.encBus.Transfer(&enc)
+	if st.metaBits == 0 {
+		return st.encBus.TransferBatch(recs, st.txnSize)
+	}
+	recLen := st.txnSize + st.metaBytes
+	for off := 0; off < len(recs); off += recLen {
+		enc := core.Encoded{Data: recs[off : off+st.txnSize], Meta: recs[off+st.txnSize : off+recLen], MetaBits: st.metaBits}
+		if err := st.encBus.Transfer(&enc); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // recoverBatch returns the stream to a clean state after a failed batch:

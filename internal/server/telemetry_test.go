@@ -77,9 +77,9 @@ func streamTxns(addr, schemeName string, txns []trace.Transaction, txnSize, batc
 // same power.Model. Integer wire counts compare as integers; joules compare
 // as bit-identical float64s, which holds because the exposition prints %g
 // (shortest round-trip form) and the estimator is a pure function of the
-// integer counters. The invariant must survive the similarity cache: the
-// memoized-summary accounting path may never drift from the full Transfer
-// walk.
+// integer counters. The invariant must survive the similarity cache:
+// cache-served records may never be charged differently from the full
+// Transfer walk.
 func TestEnergyTelemetryDifferential(t *testing.T) {
 	const (
 		txnSize    = 32
@@ -217,9 +217,9 @@ func TestEnergyTelemetryDifferential(t *testing.T) {
 				}
 			}
 			if cached {
-				// The run must actually have exercised the memoized path.
+				// The run must actually have exercised the cache hit path.
 				if hits := obs.SumMetric(points, "bxtd_simcache_hits_total"); hits == 0 {
-					t.Error("cache-on differential run recorded no simcache hits; the memoized accounting path went unexercised")
+					t.Error("cache-on differential run recorded no simcache hits; the cache hit path went unexercised")
 				}
 			}
 		})
@@ -245,15 +245,35 @@ type traceDoc struct {
 	} `json:"exemplars"`
 }
 
+// getTrace fetches the /debug/trace spans recorded for traceID. The serving
+// side rings a batch's span only after its reply is written and flushed, so
+// the client can hold the reply before the span lands. getTrace therefore
+// polls, until at least one span appears or traceWait elapses, and returns
+// the last document it read. Each poll first yields for tracePoll: querying
+// at once would compete for the CPU with the goroutine still finishing that
+// reply write, and stretch the very stages the caller measures.
 func getTrace(t *testing.T, metricsAddr string, traceID uint64) traceDoc {
 	t.Helper()
-	body := httpGet(t, "http://"+metricsAddr+"/debug/trace?trace="+obs.FormatTraceID(traceID))
-	var doc traceDoc
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("decoding /debug/trace: %v\n%s", err, body)
+	deadline := time.Now().Add(traceWait)
+	for {
+		time.Sleep(tracePoll)
+		body := httpGet(t, "http://"+metricsAddr+"/debug/trace?trace="+obs.FormatTraceID(traceID))
+		var doc traceDoc
+		if err := json.Unmarshal([]byte(body), &doc); err != nil {
+			t.Fatalf("decoding /debug/trace: %v\n%s", err, body)
+		}
+		if len(doc.Spans) > 0 || time.Now().After(deadline) {
+			return doc
+		}
 	}
-	return doc
 }
+
+// traceWait bounds getTrace's wait for a span to reach the ring; tracePoll
+// is its polling interval.
+const (
+	traceWait = 2 * time.Second
+	tracePoll = 2 * time.Millisecond
+)
 
 // TestTraceEndToEnd is the tracing acceptance test for the direct
 // client-to-gateway path: one batch's trace id, minted at the client and
