@@ -164,8 +164,10 @@ func TestDialContextCancelMidHandshake(t *testing.T) {
 }
 
 // TestDialWrappersAndTracer checks Dial/DialConfig still work as thin
-// wrappers and that a configured Tracer sees one frame_write and one
-// frame_read observation per Transcode.
+// wrappers, and that a Client and a Mux Session alike honor the tracing
+// config: a Tracer sees one frame_write and one frame_read observation per
+// Transcode, and a Trace ring records one span per batch under the trace
+// id LastTraceID reports.
 func TestDialWrappersAndTracer(t *testing.T) {
 	srv := startGateway(t)
 
@@ -175,29 +177,56 @@ func TestDialWrappersAndTracer(t *testing.T) {
 	}
 	c.Close()
 
-	tr := obs.NewHistogramTracer(nil)
-	c, err = client.DialConfig(srv.Addr(), "universal", 32, client.Config{Tracer: tr})
-	if err != nil {
-		t.Fatalf("DialConfig: %v", err)
-	}
-	defer c.Close()
+	for _, kind := range []string{"client", "session"} {
+		t.Run(kind, func(t *testing.T) {
+			tr := obs.NewHistogramTracer(nil)
+			ring := obs.NewTraceRing(64)
+			cfg := client.Config{Tracer: tr, Trace: ring}
+			var tx transcoder
+			if kind == "client" {
+				c, err := client.DialConfig(srv.Addr(), "universal", 32, cfg)
+				if err != nil {
+					t.Fatalf("DialConfig: %v", err)
+				}
+				defer c.Close()
+				tx = c
+			} else {
+				m, err := client.NewMux(srv.Addr(), cfg)
+				if err != nil {
+					t.Fatalf("NewMux: %v", err)
+				}
+				defer m.Close()
+				s, err := m.Open("universal", 32)
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				tx = s
+			}
 
-	rng := rand.New(rand.NewSource(1))
-	const batches = 5
-	for b := 0; b < batches; b++ {
-		txns := make([]trace.Transaction, 16)
-		for i := range txns {
-			data := make([]byte, 32)
-			rng.Read(data)
-			txns[i] = trace.Transaction{Addr: uint64(i * 32), Kind: trace.Read, Data: data}
-		}
-		if _, err := c.Transcode(txns); err != nil {
-			t.Fatalf("Transcode %d: %v", b, err)
-		}
-	}
-	for _, stage := range []obs.Stage{obs.StageFrameWrite, obs.StageFrameRead} {
-		if got := tr.Hist("universal", stage).Count(); got != batches {
-			t.Errorf("tracer %s count = %d, want %d", stage, got, batches)
-		}
+			rng := rand.New(rand.NewSource(1))
+			const batches = 5
+			for b := 0; b < batches; b++ {
+				txns := make([]trace.Transaction, 16)
+				for i := range txns {
+					data := make([]byte, 32)
+					rng.Read(data)
+					txns[i] = trace.Transaction{Addr: uint64(i * 32), Kind: trace.Read, Data: data}
+				}
+				if _, err := tx.Transcode(txns); err != nil {
+					t.Fatalf("Transcode %d: %v", b, err)
+				}
+				if spans := ring.Find(tx.LastTraceID()); len(spans) != 1 {
+					t.Errorf("batch %d: %d spans under trace id %#x, want 1", b, len(spans), tx.LastTraceID())
+				}
+			}
+			for _, stage := range []obs.Stage{obs.StageFrameWrite, obs.StageFrameRead} {
+				if got := tr.Hist("universal", stage).Count(); got != batches {
+					t.Errorf("tracer %s count = %d, want %d", stage, got, batches)
+				}
+			}
+			if got := ring.Total(); got != batches {
+				t.Errorf("trace ring holds %d spans, want %d", got, batches)
+			}
+		})
 	}
 }

@@ -1,16 +1,14 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/hpca18/bxt/internal/obs"
 	"github.com/hpca18/bxt/internal/trace"
 )
 
@@ -62,10 +60,10 @@ type Mux struct {
 // reply frames to sessions by stream id. dead is closed (once) when the
 // connection fails, waking every waiting session.
 type muxConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	gen  uint64
+	wire
+	// ok is the generation's HelloOK: the parameters its Hello negotiated
+	// for stream 0.
+	ok trace.HelloOK
 
 	wmu sync.Mutex
 
@@ -102,42 +100,25 @@ type muxFrame struct {
 
 // Session is one logical stream on a Mux: an independent transcoding
 // session with its own codec state on the server, batch-id space, epoch,
-// and retry accounting. Like Client, a Session is not safe for concurrent
-// use — drive each from one goroutine.
+// and retry accounting. It runs the same exchange core as Client. Like
+// Client, a Session is not safe for concurrent use — drive each from one
+// goroutine.
 type Session struct {
-	m   *Mux
-	sid uint32
-
-	scheme     string
-	txnSize    int
-	metaBits   int
-	metaBytes  int
-	batchLimit int
-
-	// epoch advances whenever the server-side codec for this stream
-	// restarted: on every mux reconnect, on a stream kill + re-open, and
-	// on a BatchError carrying the reset flag. Atomic because a reconnect
-	// (driven by a sibling session's goroutine) bumps it from outside.
-	epoch atomic.Uint64
-
-	// gen is the mux connection generation this stream last opened on;
-	// needsReopen is set when the stream must StreamOpen before its next
-	// batch (new generation, or the server killed the stream).
-	gen         uint64
+	stream
+	m *Mux
+	// mc is the connection generation this stream last opened on, which
+	// its exchanges use; needsReopen is set when the stream must
+	// StreamOpen before its next batch (new generation, or the server
+	// killed the stream).
+	mc          *muxConn
 	needsReopen bool
-	closed      bool
-
-	id      uint64
-	traceID uint64
-	stats   RetryStats
+	// closed is set by Session.Close, or by Mux.Close from any goroutine.
+	closed atomic.Bool
 
 	// replyCh receives this stream's frames from the mux reader. Capacity
 	// one: the per-stream discipline is one frame in flight, and the
 	// reader drops (never blocks on) anything beyond that.
 	replyCh chan muxFrame
-
-	bbuf []byte
-	recs []trace.EncodedRecord
 }
 
 // NewMux prepares a multiplexed client for addr. No connection is opened
@@ -198,11 +179,9 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 	}
 	mc := m.conn
 	s := &Session{
+		stream:  stream{cfg: &m.cfg, sid: m.nextSID, scheme: scheme, txnSize: txnSize, version: m.version},
 		m:       m,
-		sid:     m.nextSID,
-		scheme:  scheme,
-		txnSize: txnSize,
-		gen:     mc.gen,
+		mc:      mc,
 		replyCh: make(chan muxFrame, 1),
 	}
 	m.nextSID++
@@ -212,6 +191,7 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 	if s.sid == 0 {
 		// Stream 0 was opened by the Hello itself; its negotiated
 		// parameters are the handshake's.
+		s.setParams(mc.ok.MetaBits, mc.ok.BatchLimit)
 		return s, nil
 	}
 	if err := s.openOnConn(mc); err != nil {
@@ -228,97 +208,27 @@ func (m *Mux) Open(scheme string, txnSize int) (*Session, error) {
 // epoch advances — the server-side codecs died with the old connection —
 // and each stream lazily re-opens on next use.
 func (m *Mux) redialLocked() error {
-	dial := m.cfg.Dialer
-	if dial == nil {
-		d := net.Dialer{Timeout: m.cfg.DialTimeout}
-		dial = func(ctx context.Context, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.DialTimeout)
 	defer cancel()
-	conn, err := dial(ctx, m.addr)
+	w, ok, err := hello(ctx, &m.cfg, m.addr, trace.Hello{TxnSize: m.helloTxn, Scheme: m.helloScheme})
 	if err != nil {
-		return fmt.Errorf("client: dial %s: %w", m.addr, err)
-	}
-	var gen uint64 = 1
-	if m.conn != nil {
-		gen = m.conn.gen + 1
-	}
-	mc := &muxConn{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-		gen:  gen,
-		dead: make(chan struct{}),
-	}
-	ok, err := m.handshake(mc)
-	if err != nil {
-		conn.Close()
 		return err
 	}
 	if ok.Version < 4 {
-		conn.Close()
+		w.conn.Close()
 		return fmt.Errorf("%w: server negotiated protocol %d; multiplexing requires 4", ErrServer, ok.Version)
 	}
-	m.version = ok.Version
-	if gen > 1 {
+	if m.conn != nil {
 		m.reconnects.Add(1)
 		for _, s := range m.sessions {
 			s.epoch.Add(1)
 		}
 	}
-	if s := m.sessions[0]; s != nil {
-		// The redial Hello re-opened stream 0 with its original
-		// parameters; refresh what the server (re)negotiated.
-		s.metaBits, s.metaBytes = ok.MetaBits, (ok.MetaBits+7)/8
-		s.batchLimit = ok.BatchLimit
-	}
-	m.conn = mc
-	conn.SetReadDeadline(time.Time{})
-	go m.readLoop(mc)
+	m.version = ok.Version
+	m.conn = &muxConn{wire: w, ok: ok, dead: make(chan struct{})}
+	w.conn.SetReadDeadline(time.Time{})
+	go m.readLoop(m.conn)
 	return nil
-}
-
-// handshake runs the Hello exchange on a fresh muxConn, before its reader
-// starts.
-func (m *Mux) handshake(mc *muxConn) (trace.HelloOK, error) {
-	body, err := trace.MarshalHello(trace.Hello{
-		Version: m.cfg.Protocol,
-		TxnSize: m.helloTxn,
-		Scheme:  m.helloScheme,
-	})
-	if err != nil {
-		return trace.HelloOK{}, err
-	}
-	mc.conn.SetWriteDeadline(time.Now().Add(m.cfg.IOTimeout))
-	if err := trace.WriteFrame(mc.bw, trace.FrameHello, body); err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
-	}
-	if err := mc.bw.Flush(); err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: sending hello: %w", err)
-	}
-	mc.conn.SetReadDeadline(time.Now().Add(m.cfg.IOTimeout))
-	ft, rbody, err := trace.ReadFrame(mc.br, nil)
-	if err != nil {
-		return trace.HelloOK{}, fmt.Errorf("client: reading hello-ok: %w", err)
-	}
-	switch ft {
-	case trace.FrameHelloOK:
-		ok, err := trace.ParseHelloOK(rbody)
-		if err != nil {
-			return trace.HelloOK{}, err
-		}
-		if ok.Version < trace.MinProtocolVersion || ok.Version > m.cfg.Protocol {
-			return trace.HelloOK{}, fmt.Errorf("%w: server negotiated protocol version %d, requested <= %d",
-				ErrServer, ok.Version, m.cfg.Protocol)
-		}
-		return ok, nil
-	case trace.FrameError:
-		return trace.HelloOK{}, fmt.Errorf("%w: %s", ErrServer, rbody)
-	default:
-		return trace.HelloOK{}, fmt.Errorf("%w: unexpected frame type %#x in handshake", trace.ErrBadFrame, ft)
-	}
 }
 
 // readLoop is the demultiplexer: it owns the connection's read side,
@@ -360,34 +270,48 @@ func (m *Mux) readLoop(mc *muxConn) {
 	}
 }
 
-// ensure returns a live connection generation for s to exchange on,
+// ready makes a live connection generation s.mc for the next attempt,
 // redialing the shared connection and re-opening this stream as needed.
-func (m *Mux) ensure(s *Session) (*muxConn, error) {
+func (s *Session) ready() error {
+	// Drop any stale frame left over from a timed-out attempt, a previous
+	// generation or a killed stream.
+	select {
+	case <-s.replyCh:
+	default:
+	}
+	m := s.m
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return nil, ErrMuxClosed
+		return ErrMuxClosed
 	}
+	var redial time.Duration
 	if m.conn == nil || m.conn.isDead() {
+		start := time.Now()
 		if err := m.redialLocked(); err != nil {
 			m.mu.Unlock()
-			return nil, err
+			return err
 		}
+		redial = time.Since(start)
 	}
 	mc := m.conn
 	m.mu.Unlock()
-	if s.gen != mc.gen {
-		s.gen = mc.gen
-		// The redial Hello re-opened stream 0; every other stream must
-		// re-open explicitly.
+	if redial > 0 {
+		s.cfg.Tracer.ObserveStage(s.scheme, obs.StageReconnect, redial)
+	}
+	if s.mc != mc {
+		s.mc = mc
+		// The redial Hello re-opened stream 0 with its original
+		// parameters; every other stream must re-open explicitly.
+		if s.sid == 0 {
+			s.setParams(mc.ok.MetaBits, mc.ok.BatchLimit)
+		}
 		s.needsReopen = s.sid != 0
 	}
 	if s.needsReopen {
-		if err := s.openOnConn(mc); err != nil {
-			return nil, err
-		}
+		return s.openOnConn(mc)
 	}
-	return mc, nil
+	return nil
 }
 
 // writeFrame sends one frame on the shared connection, serializing with
@@ -428,15 +352,10 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if err != nil {
 		return err
 	}
-	// Drop any stale frame from a previous generation or a killed stream.
-	select {
-	case <-s.replyCh:
-	default:
-	}
-	if err := mc.writeFrame(trace.FrameStreamOpen, body, s.m.cfg.IOTimeout); err != nil {
+	if err := mc.writeFrame(trace.FrameStreamOpen, body, s.cfg.IOTimeout); err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
-	f, err := s.await(mc, s.m.cfg.IOTimeout)
+	f, err := s.await(mc, s.cfg.IOTimeout)
 	if err != nil {
 		return fmt.Errorf("client: opening stream %d: %w", s.sid, err)
 	}
@@ -454,8 +373,7 @@ func (s *Session) openOnConn(mc *muxConn) error {
 	if ok.Status != trace.StreamOK {
 		return fmt.Errorf("%w: stream %d refused: %s", ErrServer, s.sid, ok.Msg)
 	}
-	s.metaBits, s.metaBytes = ok.MetaBits, (ok.MetaBits+7)/8
-	s.batchLimit = ok.BatchLimit
+	s.setParams(ok.MetaBits, ok.BatchLimit)
 	s.needsReopen = false
 	return nil
 }
@@ -463,180 +381,51 @@ func (s *Session) openOnConn(mc *muxConn) error {
 // ID returns the stream id this session multiplexes on.
 func (s *Session) ID() uint32 { return s.sid }
 
-// Scheme returns the session's scheme name.
-func (s *Session) Scheme() string { return s.scheme }
-
-// TxnSize returns the session's transaction size in bytes.
-func (s *Session) TxnSize() int { return s.txnSize }
-
-// MetaBits returns the scheme's side-band width per transaction as
-// negotiated when the stream opened.
-func (s *Session) MetaBits() int { return s.metaBits }
-
-// BatchLimit returns the server's maximum batch size for this stream.
-func (s *Session) BatchLimit() int { return s.batchLimit }
-
-// Epoch returns the stream's codec epoch; see Client.Epoch. Stream
-// epochs are independent: a sibling stream's kill or codec reset never
-// moves this one, only a full connection loss does.
-func (s *Session) Epoch() uint64 { return s.epoch.Load() }
-
-// RetryStats returns the fault-recovery counters accumulated so far.
-func (s *Session) RetryStats() RetryStats { return s.stats }
-
-// LastTraceID returns the trace id of the most recent Transcode call.
-func (s *Session) LastTraceID() uint64 { return s.traceID }
-
 // Transcode sends one batch on this stream and waits for its reply,
 // retrying recoverable failures (Busy sheds, BatchError replies, stream
 // kills, broken connections) up to Config.MaxRetries times, exactly like
 // Client.Transcode — but sibling streams keep exchanging batches on the
 // shared connection the whole time.
 func (s *Session) Transcode(txns []trace.Transaction) (trace.BatchReply, error) {
-	if s.closed {
+	if s.closed.Load() {
 		return trace.BatchReply{}, ErrMuxClosed
 	}
-	if len(txns) == 0 {
-		return trace.BatchReply{}, fmt.Errorf("%w: empty batch", trace.ErrBadFrame)
-	}
-	if s.batchLimit > 0 && len(txns) > s.batchLimit {
-		return trace.BatchReply{}, fmt.Errorf("%w: batch of %d exceeds server limit %d", trace.ErrBadFrame, len(txns), s.batchLimit)
-	}
-	s.id++
-	id := s.id
-	s.traceID = newTraceID()
-	var lastErr error
-	var hint time.Duration
-	for attempt := 0; attempt <= s.m.cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			s.stats.Retries++
-			sleepBackoff(s.m.cfg, attempt, hint)
-			hint = 0
-		}
-		mc, err := s.m.ensure(s)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		reply, h, kind, err := s.exchange(mc, id, txns)
-		switch kind {
-		case exchangeOK:
-			return reply, nil
-		case exchangeCaller:
-			return trace.BatchReply{}, err
-		case exchangeBusy:
-			s.stats.Busy++
-			hint = h
-		case exchangeFault:
-			s.stats.BatchErrors++
-		case exchangeBroken:
-			mc.fail(err)
-		}
-		lastErr = err
-	}
-	return trace.BatchReply{}, lastErr
+	return s.transcode(s, txns)
 }
 
-// exchange performs one send/receive of batch id on mc. Outcomes follow
-// Client.exchange, with one addition: a StreamClosed reply (the server
-// killed this stream) classifies as a retryable fault after bumping the
-// epoch and scheduling a stream re-open.
-func (s *Session) exchange(mc *muxConn, id uint64, txns []trace.Transaction) (trace.BatchReply, time.Duration, exchangeKind, error) {
-	buf := trace.AppendStreamID(s.bbuf[:0], s.sid)
-	body, err := trace.AppendBatch(trace.AppendTraceEnvelope(buf, id, s.traceID), txns, s.txnSize)
-	if err != nil {
-		return trace.BatchReply{}, 0, exchangeCaller, err
-	}
-	s.bbuf = body[:0]
-	if err := trace.SealBatchEnvelope(body[4:]); err != nil {
-		return trace.BatchReply{}, 0, exchangeCaller, err // unreachable: envelope present
-	}
-	// Drop any stale frame left over from a timed-out attempt.
-	select {
-	case <-s.replyCh:
-	default:
-	}
-	if err := mc.writeFrame(trace.FrameBatch, body, s.m.cfg.IOTimeout); err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: sending batch: %w", err)
-	}
-	f, err := s.await(mc, s.m.cfg.IOTimeout)
-	if err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
-	}
+func (s *Session) send(body []byte) error {
+	return s.mc.writeFrame(trace.FrameBatch, body, s.cfg.IOTimeout)
+}
 
-	if f.ft == trace.FrameStreamClosed {
-		_, msg, perr := trace.ParseStreamClosed(f.body)
-		if perr != nil {
-			return trace.BatchReply{}, 0, exchangeBroken, perr
-		}
-		// The server retired this stream but the connection lives on; the
-		// server-side codec is gone, so the epoch moves and the next
-		// attempt re-opens the stream fresh.
-		s.epoch.Add(1)
-		s.needsReopen = true
-		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: stream %d: %s", ErrStreamKilled, s.sid, msg)
-	}
-	_, rbody, err := trace.SplitStreamID(f.body)
-	if err != nil {
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reading reply: %w", err)
-	}
-	switch f.ft {
-	case trace.FrameBatchReply:
-		rid, rtrace, payload, err := trace.OpenTraceEnvelope(rbody)
-		if err != nil {
-			return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("client: reply for batch %d: %w", id, err)
-		}
-		if rtrace != s.traceID {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: reply carries trace %#x, expected %#x (stream desynchronized)", rtrace, s.traceID)
-		}
-		if rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: reply names batch %d, expected %d (stream desynchronized)", rid, id)
-		}
-		reply, err := trace.ParseBatchReplyInto(payload, s.txnSize, s.metaBytes, s.recs)
-		if err != nil {
-			return trace.BatchReply{}, 0, exchangeBroken, err
-		}
-		s.recs = reply.Records
-		return reply, 0, exchangeOK, nil
-	case trace.FrameBusy:
-		rid, after, err := trace.ParseBusy(rbody)
-		if err != nil || rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: malformed busy reply for batch %d (id %d, err %v)", id, rid, err)
-		}
-		return trace.BatchReply{}, after, exchangeBusy,
-			fmt.Errorf("%w: batch %d shed, retry after %v", ErrBusy, id, after)
-	case trace.FrameBatchError:
-		rid, reset, msg, err := trace.ParseBatchError(rbody)
-		if err != nil || rid != id {
-			return trace.BatchReply{}, 0, exchangeBroken,
-				fmt.Errorf("client: malformed batch-error reply for batch %d (id %d, err %v)", id, rid, err)
-		}
-		if reset {
-			s.epoch.Add(1)
-		}
-		return trace.BatchReply{}, 0, exchangeFault, fmt.Errorf("%w: %s", ErrBatchFault, msg)
-	case trace.FrameError:
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: %s", ErrServer, rbody)
-	default:
-		return trace.BatchReply{}, 0, exchangeBroken, fmt.Errorf("%w: unexpected frame type %#x", trace.ErrBadFrame, f.ft)
-	}
+func (s *Session) recv() (trace.FrameType, []byte, error) {
+	f, err := s.await(s.mc, s.cfg.IOTimeout)
+	return f.ft, f.body, err
+}
+
+// drop kills the connection generation; every stream's epoch advances
+// when the next attempt redials.
+func (s *Session) drop(err error) { s.mc.fail(err) }
+
+// streamClosed handles the server retiring this stream while the
+// connection lives on: the server-side codec is gone, so the epoch moves
+// and the next attempt re-opens the stream fresh.
+func (s *Session) streamClosed(msg string) (exchangeKind, error) {
+	s.epoch.Add(1)
+	s.needsReopen = true
+	return exchangeFault, fmt.Errorf("%w: stream %d: %s", ErrStreamKilled, s.sid, msg)
 }
 
 // Close retires the stream: a StreamClose exchange when the connection is
 // live (so the server frees the codec), then local deregistration. The
 // Mux and its other sessions are unaffected.
 func (s *Session) Close() error {
-	if s.closed {
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
 	m := s.m
 	m.mu.Lock()
 	mc := m.conn
-	live := mc != nil && !mc.isDead() && !s.needsReopen && s.gen == mc.gen
+	live := mc != nil && !mc.isDead() && !s.needsReopen && s.mc == mc
 	delete(m.sessions, s.sid)
 	m.mu.Unlock()
 	if !live {
@@ -663,7 +452,7 @@ func (m *Mux) Close() error {
 	mc := m.conn
 	m.conn = nil
 	for sid, s := range m.sessions {
-		s.closed = true
+		s.closed.Store(true)
 		delete(m.sessions, sid)
 	}
 	m.mu.Unlock()
@@ -671,18 +460,4 @@ func (m *Mux) Close() error {
 		mc.fail(ErrMuxClosed)
 	}
 	return nil
-}
-
-// sleepBackoff sleeps one retry backoff: exponential with jitter, floored
-// by the server's Busy hint. Shared by Client and Session retries.
-func sleepBackoff(cfg Config, attempt int, hint time.Duration) {
-	d := cfg.RetryBackoff << (attempt - 1)
-	if d <= 0 || d > cfg.RetryBackoffMax {
-		d = cfg.RetryBackoffMax
-	}
-	d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-	if hint > d {
-		d = hint
-	}
-	time.Sleep(d)
 }

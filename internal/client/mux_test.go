@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/hpca18/bxt/internal/client"
 	"github.com/hpca18/bxt/internal/config"
@@ -305,5 +306,89 @@ func TestMuxRedialReopensStreams(t *testing.T) {
 	}
 	if got := dials.Load(); got != 2 {
 		t.Fatalf("dialer invoked %d times, want 2", got)
+	}
+}
+
+// TestMuxCloseDuringTranscode closes a Mux while four sessions loop
+// Transcode on it: every session must stop with ErrMuxClosed, and Close's
+// marking of the sessions must not race their own closed checks. A
+// session woken from awaiting a reply is ordered after Close by the dead
+// connection; one pausing between batches, as each does here, is not, so
+// under -race an unsynchronized pair shows.
+func TestMuxCloseDuringTranscode(t *testing.T) {
+	srv := startGateway(t)
+	for round := 0; round < 5 && !t.Failed(); round++ {
+		m, err := client.NewMux(srv.Addr(), client.Config{})
+		if err != nil {
+			t.Fatalf("NewMux: %v", err)
+		}
+		defer m.Close()
+		var closing atomic.Bool
+		var running, wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			s, err := m.Open("universal", 32)
+			if err != nil {
+				t.Fatalf("Open %d: %v", i, err)
+			}
+			running.Add(1)
+			wg.Add(1)
+			go func(s *client.Session, seed int64) {
+				defer wg.Done()
+				txns := muxTxns(rand.New(rand.NewSource(seed)), 8, 32)
+				warm := false
+				for n := 0; ; n++ {
+					if n == 10 {
+						running.Done()
+						warm = true
+					}
+					_, err := s.Transcode(txns)
+					if err != nil && (errors.Is(err, client.ErrMuxClosed) || !closing.Load()) {
+						if !errors.Is(err, client.ErrMuxClosed) {
+							t.Errorf("stream %d: Transcode before Close: %v", s.ID(), err)
+						}
+						if !warm {
+							running.Done()
+						}
+						return
+					}
+					time.Sleep(200 * time.Microsecond)
+				}
+			}(s, int64(round*4+i))
+		}
+		running.Wait()
+		closing.Store(true)
+		if err := m.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		wg.Wait()
+	}
+}
+
+// TestMuxStream0Negotiated checks that the first Open's session, whose
+// stream the Hello opens, carries the parameters the handshake negotiated
+// — the same a Client gets for the scheme — and so decodes a metadata
+// scheme from its first batch on.
+func TestMuxStream0Negotiated(t *testing.T) {
+	srv := startGateway(t)
+	c, err := client.Dial(srv.Addr(), "bdenc", 32)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	m, err := client.NewMux(srv.Addr(), client.Config{})
+	if err != nil {
+		t.Fatalf("NewMux: %v", err)
+	}
+	defer m.Close()
+	s, err := m.Open("bdenc", 32)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if s.MetaBits() != c.MetaBits() || s.BatchLimit() != c.BatchLimit() || c.MetaBits() == 0 {
+		t.Fatalf("stream 0 negotiated meta %d bits, limit %d; a Client got %d, %d",
+			s.MetaBits(), s.BatchLimit(), c.MetaBits(), c.BatchLimit())
+	}
+	if bumps := verifyStream(t, s, muxDecoder(t, "bdenc"), 5, 5, 8); bumps != 0 || t.Failed() {
+		t.Fatalf("stream 0 failed to decode (%d bumps)", bumps)
 	}
 }

@@ -315,33 +315,48 @@ func ParseStateAck(body []byte) (status uint8, seq uint64, payload []byte, err e
 	return body[0], binary.LittleEndian.Uint64(body[1:9]), body[9:], nil
 }
 
-// WriteFrame writes one frame (length prefix, type byte, body) to w.
+// WriteFrame writes one frame (length prefix, type byte, body) to w. A w
+// that is an io.ByteWriter, such as a bufio.Writer, takes the header a
+// byte at a time, so writing a frame allocates nothing.
 func WriteFrame(w io.Writer, t FrameType, body []byte) error {
 	if len(body)+1 > MaxFrameBytes {
 		return fmt.Errorf("%w: %d-byte body exceeds frame limit", ErrBadFrame, len(body))
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = byte(t)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	n := uint32(len(body) + 1)
+	if bw, ok := w.(io.ByteWriter); ok {
+		for _, b := range [5]byte{byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24), byte(t)} {
+			if err := bw.WriteByte(b); err != nil {
+				return err
+			}
+		}
+	} else {
+		// The header escapes through Write, so only this path allocates it.
+		hdr := make([]byte, 5)
+		binary.LittleEndian.PutUint32(hdr[:4], n)
+		hdr[4] = byte(t)
+		if _, err := w.Write(hdr); err != nil {
+			return err
+		}
 	}
 	_, err := w.Write(body)
 	return err
 }
 
-// ReadFrame reads one frame from r, reusing buf for the body when it has
-// capacity. It returns the frame type and the body (valid until the next
-// call when buf is reused).
+// ReadFrame reads one frame from r, reusing buf for the header and the
+// body when it has capacity. It returns the frame type and the body (valid
+// until the next call when buf is reused).
 func ReadFrame(r io.Reader, buf []byte) (FrameType, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: truncated frame header: %w", ErrBadFrame, err)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
 	if n < 1 || n > MaxFrameBytes {
 		return 0, nil, fmt.Errorf("%w: implausible frame length %d", ErrBadFrame, n)
 	}
